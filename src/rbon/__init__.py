@@ -8,29 +8,14 @@ come from K-means, spreads from inter-center distances, and weights from
 a single pseudoinverse solve, so training needs no gradient descent.
 """
 
-from .kernels import (
-    DegenerateFeatureError,
-    RbfLayer,
-    feature_matrix,
-    feature_product,
-    gaussian_rbf,
-    layer_features,
-    normalize_features,
-)
+from .kernels import DegenerateFeatureError, RbfLayer, feature_matrix, gaussian_rbf
 from .clustering import (
     ClusterConfig,
     ClusterResult,
     compute_spreads,
     kmeans,
 )
-from .least_squares import (
-    Calibration,
-    DesignMatrix,
-    average_weights,
-    build_design_matrix,
-    fit_calibration,
-    min_norm_lstsq,
-)
+from .least_squares import Calibration, fit_calibration, kronecker_lstsq
 from .model import (
     ModelConfig,
     TrainedModel,
@@ -76,7 +61,6 @@ __all__ = [
     "ClusterResult",
     "CorruptFileError",
     "DegenerateFeatureError",
-    "DesignMatrix",
     "ErrorSummary",
     "FormatVersionError",
     "GridSpec",
@@ -87,25 +71,20 @@ __all__ = [
     "TrainedModel",
     "TrainingSet",
     "YearFunction",
-    "average_weights",
     "beam_config",
     "beam_forcing",
     "build_benchmark_dataset",
-    "build_design_matrix",
     "build_forecast_dataset",
     "burgers_config",
     "compute_spreads",
     "feature_matrix",
-    "feature_product",
     "fit_calibration",
     "gaussian_rbf",
     "kmeans",
+    "kronecker_lstsq",
     "l2_relative_error",
-    "layer_features",
     "load_model",
     "mean_and_moe",
-    "min_norm_lstsq",
-    "normalize_features",
     "parse_monthly_csv",
     "predict",
     "predict_field",

@@ -11,16 +11,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SPREAD_FLOOR = 1e-8
+# A Lloyd run stops after this many iterations, or once no center moves by
+# CONVERGENCE_TOL or more.
+MAX_ITERATIONS = 300
+CONVERGENCE_TOL = 1e-9
 
 
 @dataclass
 class ClusterConfig:
     k: int
     restarts: int = 10
-    max_iterations: int = 300
-    convergence_tol: float = 1e-9
     seed: int = 0
-    manual_centers: np.ndarray | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -69,7 +70,7 @@ def _kmeanspp_init(points, k, rng):
     return points[idx].copy()
 
 
-def lloyd(points, k, rng, max_iterations=300, tol=1e-9):
+def lloyd(points, k, rng):
     """One seeded Lloyd run. Returns (centers, assignments, wcss, wcss_history).
 
     wcss is recorded after each assignment step and must never increase; an
@@ -78,7 +79,7 @@ def lloyd(points, k, rng, max_iterations=300, tol=1e-9):
     centers = _kmeanspp_init(points, k, rng)
     history = []
     assignments = None
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         d2 = _sq_dist(points, centers)
         assignments = d2.argmin(axis=1)
         wcss = float(d2[np.arange(len(points)), assignments].sum())
@@ -98,7 +99,7 @@ def lloyd(points, k, rng, max_iterations=300, tol=1e-9):
                 new_centers[i] = points[far]
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < CONVERGENCE_TOL:
             break
     d2 = _sq_dist(points, centers)
     assignments = d2.argmin(axis=1)
@@ -117,26 +118,15 @@ def kmeans(points, config):
     if len(pts) < 2:
         raise ValueError("k-means requires at least two points")
 
-    if config.manual_centers is not None:
-        centers = np.atleast_2d(np.asarray(config.manual_centers))
-        if np.iscomplexobj(centers):
-            centers = embed_complex(centers)
-        centers = centers.astype(float, copy=False)
-        history = []
-    else:
-        seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-        best = None
-        for i, ss in enumerate(seeds):
-            rng = np.random.default_rng(ss)
-            centers_i, _, wcss_i, hist_i = lloyd(
-                pts, config.k, rng, config.max_iterations, config.convergence_tol
-            )
-            if best is None or wcss_i < best[0]:
-                best = (wcss_i, centers_i, hist_i)
-        centers, history = best[1], best[2]
-        # coincident centers are redundant units; keep one of each
-        _, keep = np.unique(centers, axis=0, return_index=True)
-        centers = centers[np.sort(keep)]
+    best = None
+    for ss in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        centers_i, _, wcss_i, hist_i = lloyd(pts, config.k, np.random.default_rng(ss))
+        if best is None or wcss_i < best[0]:
+            best = (wcss_i, centers_i, hist_i)
+    centers, history = best[1], best[2]
+    # coincident centers are redundant units; keep one of each
+    _, keep = np.unique(centers, axis=0, return_index=True)
+    centers = centers[np.sort(keep)]
 
     d2 = _sq_dist(pts, centers)
     assignments = d2.argmin(axis=1)

@@ -70,11 +70,6 @@ def gaussian_rbf(x, center, spread):
     return float(np.exp(-d2 / (2.0 * spread**2)))
 
 
-def layer_features(layer, x):
-    """Feature vector of one point: component k is gaussian_rbf(x, c_k, sigma_k)."""
-    return feature_matrix(layer, np.atleast_2d(x))[0]
-
-
 def feature_matrix(layer, X):
     """Feature vectors for many points at once, shape (len(X), layer.n_units)."""
     X = np.atleast_2d(X)
@@ -87,22 +82,3 @@ def feature_matrix(layer, X):
     d2 = _squared_distances(X, layer.centers)
     return np.exp(-d2 / (2.0 * layer.spreads**2))
 
-
-def feature_product(branch_out, trunk_out):
-    """Kronecker product, branch-major: index (i, k) sits at (i-1)*N + k."""
-    b = np.asarray(branch_out, dtype=float).ravel()
-    t = np.asarray(trunk_out, dtype=float).ravel()
-    if b.size == 0 or t.size == 0:
-        raise ValueError("feature_product needs nonempty inputs")
-    return np.kron(b, t)
-
-
-def normalize_features(v, tolerance=1e-300):
-    """Divide by the vector sum so components form a convex-combination weight."""
-    v = np.asarray(v, dtype=float).ravel()
-    s = v.sum()
-    if s <= tolerance:
-        raise DegenerateFeatureError(
-            "feature vector sums to ~0; all RBF units are too far from the input"
-        )
-    return v / s

@@ -1,10 +1,8 @@
-"""Minimum-norm least-squares solves, weight averaging, output calibration."""
+"""The minimum-norm Kronecker least-squares solve and output calibration."""
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import feature_product, normalize_features
 
 
 @dataclass(frozen=True)
@@ -22,50 +20,32 @@ class Calibration:
         return self.scale * raw + self.offset
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Per-query design: column j is b(u_j) kron t(y_l). Shape NM x J."""
+def kronecker_lstsq(branch_feats, trunk_feats, targets):
+    """Minimum-norm weights of the system over every (function, query) pair.
 
-    values: np.ndarray
-    query_index: int
-
-
-def build_design_matrix(branch_features, trunk_feature, query_index, normalized=False):
-    """Assemble Phi_l from precomputed branch features and one trunk vector."""
-    B = np.atleast_2d(branch_features)
-    cols = [feature_product(B[j], trunk_feature) for j in range(B.shape[0])]
-    if normalized:
-        cols = [normalize_features(c) for c in cols]
-    return DesignMatrix(values=np.column_stack(cols), query_index=query_index)
-
-
-def min_norm_lstsq(A, b):
-    """Minimum-Euclidean-norm minimizer of ||A^T x - b||_2.
-
-    Equivalent to pinv(A^T) @ b; singular values below
-    max(p, q) * eps * sigma_max are treated as zero (numpy's rcond=None).
+    With B = branch_feats (functions x branch units), T = trunk_feats
+    (queries x trunk units) and Y = targets (functions x queries), returns
+    the minimum-norm w minimizing ||kron(B, T) w - vec(Y)||_2, branch-major:
+    weight (i, k) sits at i * T.shape[1] + k. The pseudoinverse of a
+    Kronecker product is the Kronecker product of the pseudoinverses, so two
+    small solves (numpy's default rcond each) give the exact answer without
+    forming the stacked matrix.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    if A.shape[1] != b.shape[0]:
-        raise ValueError(f"A is {A.shape} but b has length {b.shape[0]}")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    B = np.asarray(branch_feats, dtype=float)
+    T = np.asarray(trunk_feats, dtype=float)
+    Y = np.asarray(targets, dtype=float)
+    if B.ndim != 2 or T.ndim != 2:
+        raise ValueError("branch and trunk features must be matrices")
+    if Y.shape != (B.shape[0], T.shape[0]):
+        raise ValueError(
+            f"targets shape {Y.shape} does not match "
+            f"({B.shape[0]} functions, {T.shape[0]} queries)"
+        )
+    if not (np.isfinite(B).all() and np.isfinite(T).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite entries in least-squares system")
-    x, *_ = np.linalg.lstsq(A.T, b, rcond=None)
-    return x
-
-
-def average_weights(weight_vectors):
-    """Component-wise arithmetic mean of equally sized weight vectors."""
-    if len(weight_vectors) == 0:
-        raise ValueError("no weight vectors to average")
-    arrs = [np.asarray(w, dtype=float).ravel() for w in weight_vectors]
-    length = arrs[0].shape[0]
-    if any(a.shape[0] != length for a in arrs):
-        raise ValueError("weight vectors have mismatched lengths")
-    return np.mean(arrs, axis=0)
+    coeff, *_ = np.linalg.lstsq(B, Y, rcond=None)
+    weight_matrix, *_ = np.linalg.lstsq(T, coeff.T, rcond=None)
+    return weight_matrix.T.ravel()
 
 
 def fit_calibration(raw, targets):

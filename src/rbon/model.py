@@ -19,30 +19,16 @@ Three variants share this structure:
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from .clustering import ClusterConfig, compute_spreads, embed_complex, kmeans
 from .container import load_container, save_container
-from .kernels import (
-    DegenerateFeatureError,
-    RbfLayer,
-    feature_matrix,
-    feature_product,
-    normalize_features,
-)
-from .least_squares import (
-    Calibration,
-    average_weights,
-    build_design_matrix,
-    fit_calibration,
-    min_norm_lstsq,
-)
+from .kernels import DegenerateFeatureError, RbfLayer, feature_matrix
+from .least_squares import Calibration, fit_calibration, kronecker_lstsq
 
 VARIANTS = ("rbon", "nrbon", "frbon")
-WEIGHT_SOLVES = ("stacked", "per_query_average")
 
 # Widest branch/trunk pair used in the PDE benchmark regime. Disable the cap
 # (benchmark_cap=False) for applications that need wider layers.
@@ -69,10 +55,10 @@ class TrainingSet:
         inputs = np.asarray(self.inputs, dtype=float)
         queries = np.asarray(self.queries, dtype=float)
         targets = np.asarray(self.targets, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[0] < 2 or inputs.shape[1] < 1:
+        if inputs.ndim != 2 or inputs.shape[0] < 1 or inputs.shape[1] < 1:
             raise ValueError(
                 "inputs must be (n_functions, n_sensors) with at least "
-                f"2 functions and 1 sensor, got shape {np.shape(self.inputs)}"
+                f"1 function and 1 sensor, got shape {np.shape(self.inputs)}"
             )
         if queries.ndim != 2 or queries.shape[0] < 1:
             raise ValueError(
@@ -114,15 +100,10 @@ class TrainingSet:
 class ModelConfig:
     """Architecture and training knobs.
 
-    weight_solve selects how the output weights are fit:
-
-    * "stacked" (default) solves one least-squares system over every
-      (function, query) pair jointly; with shared query locations this is
-      the exact minimum-norm solution of the full system.
-    * "per_query_average" solves an independent system per query location
-      and averages the weight vectors element-wise. Each per-query solution
-      is rank-one in the trunk index, so the average acts like a smoother;
-      it is kept for comparison, not accuracy.
+    variant picks the output formula (see the module docstring); the units
+    and overlaps size each layer and scale its spreads; seed and restarts
+    drive k-means. The output weights always come from one minimum-norm
+    least-squares solve over every (function, query) pair.
 
     benchmark_cap enforces the layer-width regime used by the PDE
     benchmarks (at most 15 units per layer, at most 225 weights); turn it
@@ -136,18 +117,11 @@ class ModelConfig:
     trunk_overlap: float = 1.0
     seed: int = 0
     restarts: int = 10
-    weight_solve: str = "stacked"
     benchmark_cap: bool = True
-    manual_branch_centers: Optional[np.ndarray] = None
-    manual_trunk_centers: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.weight_solve not in WEIGHT_SOLVES:
-            raise ValueError(
-                f"weight_solve must be one of {WEIGHT_SOLVES}, got {self.weight_solve!r}"
-            )
         if self.branch_units < 1 or self.trunk_units < 1:
             raise ValueError("branch_units and trunk_units must be at least 1")
         if self.benchmark_cap:
@@ -175,7 +149,6 @@ class ModelConfig:
             "trunk_overlap": self.trunk_overlap,
             "seed": self.seed,
             "restarts": self.restarts,
-            "weight_solve": self.weight_solve,
         }
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -229,24 +202,15 @@ def _data_diameter(points: np.ndarray) -> float:
     """Largest pairwise distance, used as a spread fallback scale."""
     if np.iscomplexobj(points):
         points = embed_complex(points)
-    if points.shape[0] < 2:
-        return 0.0
     return float(np.max(pdist(points)))
 
 
-def _fit_layer(points, units, overlap, seed, restarts, manual_centers):
-    config = ClusterConfig(
-        k=units,
-        restarts=restarts,
-        seed=seed,
-        manual_centers=manual_centers,
-    )
-    result = kmeans(points, config)
-    spreads = compute_spreads(
-        result.centers,
-        overlap=overlap,
-        data_diameter=_data_diameter(points),
-    )
+def _fit_layer(points, units, overlap, seed, restarts):
+    result = kmeans(points, ClusterConfig(k=units, restarts=restarts, seed=seed))
+    # kmeans keeps distinct centers only, so compute_spreads falls back to
+    # the data diameter only when a single center is left
+    diameter = _data_diameter(points) if len(result.centers) == 1 else None
+    spreads = compute_spreads(result.centers, overlap=overlap, data_diameter=diameter)
     return RbfLayer(centers=result.centers, spreads=spreads)
 
 
@@ -260,28 +224,6 @@ def _normalize_rows(features: np.ndarray) -> np.ndarray:
             "inputs lie too far from every center"
         )
     return features / sums[:, None]
-
-
-def _solve_stacked(branch_feats, trunk_feats, targets):
-    """Minimum-norm weights for the full system over all (j, l) pairs.
-
-    The stacked design factors as a Kronecker product of the branch and
-    trunk feature matrices, and the pseudoinverse of a Kronecker product is
-    the Kronecker product of pseudoinverses, so two small solves give the
-    exact minimum-norm solution of the big system.
-    """
-    coeff, *_ = np.linalg.lstsq(branch_feats, targets, rcond=None)
-    weight_matrix, *_ = np.linalg.lstsq(trunk_feats, coeff.T, rcond=None)
-    return weight_matrix.T.ravel()
-
-
-def _solve_per_query(branch_feats, trunk_feats, targets, normalized):
-    """Independent minimum-norm solve per query, then element-wise average."""
-    per_query = []
-    for l in range(trunk_feats.shape[0]):
-        design = build_design_matrix(branch_feats, trunk_feats[l], l, normalized=normalized)
-        per_query.append(min_norm_lstsq(design.values, targets[:, l]))
-    return average_weights(per_query)
 
 
 def _check_live_features(features: np.ndarray, layer_name: str) -> None:
@@ -298,6 +240,8 @@ def train(data: TrainingSet, config: ModelConfig) -> TrainedModel:
     Deterministic for a fixed (data, config): layer seeds derive from
     config.seed and the least-squares path has no randomness.
     """
+    if data.n_functions < 2:
+        raise ValueError(f"train needs at least 2 functions, got {data.n_functions}")
     branch_inputs = data.inputs
     if config.variant == "frbon":
         branch_inputs = np.fft.fft(data.inputs, axis=1)
@@ -311,7 +255,6 @@ def train(data: TrainingSet, config: ModelConfig) -> TrainedModel:
         config.branch_overlap,
         branch_seed,
         config.restarts,
-        config.manual_branch_centers,
     )
     trunk_layer = _fit_layer(
         data.queries,
@@ -319,7 +262,6 @@ def train(data: TrainingSet, config: ModelConfig) -> TrainedModel:
         config.trunk_overlap,
         trunk_seed,
         config.restarts,
-        config.manual_trunk_centers,
     )
 
     branch_feats = feature_matrix(branch_layer, branch_inputs)
@@ -327,18 +269,12 @@ def train(data: TrainingSet, config: ModelConfig) -> TrainedModel:
     _check_live_features(branch_feats, "branch")
     _check_live_features(trunk_feats, "trunk")
 
-    normalized = config.variant == "nrbon"
-    if config.weight_solve == "stacked":
-        if normalized:
-            weights = _solve_stacked(
-                _normalize_rows(branch_feats), _normalize_rows(trunk_feats), data.targets
-            )
-        else:
-            weights = _solve_stacked(branch_feats, trunk_feats, data.targets)
-    else:
-        weights = _solve_per_query(branch_feats, trunk_feats, data.targets, normalized)
+    if config.variant == "nrbon":
+        branch_feats = _normalize_rows(branch_feats)
+        trunk_feats = _normalize_rows(trunk_feats)
 
-    raw = _raw_outputs(branch_feats, trunk_feats, weights, normalized)
+    weights = kronecker_lstsq(branch_feats, trunk_feats, data.targets)
+    raw = _raw_outputs(branch_feats, trunk_feats, weights)
     calibration = fit_calibration(raw.ravel(), data.targets.ravel())
 
     calibrated = calibration.apply(raw)
@@ -358,47 +294,18 @@ def train(data: TrainingSet, config: ModelConfig) -> TrainedModel:
     )
 
 
-def _raw_outputs(branch_feats, trunk_feats, weights, normalized):
-    """Uncalibrated outputs for every (function, query) pair, vectorized."""
-    if normalized:
-        branch_feats = _normalize_rows(branch_feats)
-        trunk_feats = _normalize_rows(trunk_feats)
+def _raw_outputs(branch_feats, trunk_feats, weights):
+    """Uncalibrated outputs b(u_j)^T W t(y_l) for every (function, query) pair."""
     weight_matrix = weights.reshape(branch_feats.shape[1], trunk_feats.shape[1])
     return branch_feats @ weight_matrix @ trunk_feats.T
 
 
-def _branch_features_one(model: TrainedModel, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u)
-    if u.ndim != 1 or u.size != model.sensor_count:
-        raise ValueError(
-            f"expected a sensor vector of length {model.sensor_count}, got shape {u.shape}"
-        )
-    if model.variant == "frbon":
-        u = to_frequency_domain(np.asarray(u, dtype=float))
-    return feature_matrix(model.branch_layer, u[None, :])[0]
-
-
 def predict_field(model: TrainedModel, u: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Evaluate one input function at many query locations.
-
-    Branch features are computed once; each output is the weighted feature
-    product at that query, passed through the affine calibration.
-    """
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != model.query_dim:
-        raise ValueError(
-            f"expected queries of shape (n, {model.query_dim}), got {queries.shape}"
-        )
-    branch = _branch_features_one(model, u)
-    trunk = feature_matrix(model.trunk_layer, queries)
-    normalized = model.variant == "nrbon"
-    out = np.empty(queries.shape[0])
-    for l in range(queries.shape[0]):
-        product = feature_product(branch, trunk[l])
-        if normalized:
-            product = normalize_features(product)
-        out[l] = model.weights @ product
-    return model.calibration.apply(out)
+    """Evaluate one input function at many query locations."""
+    u = np.asarray(u)
+    if u.ndim != 1:
+        raise ValueError(f"expected a 1-d sensor vector, got shape {u.shape}")
+    return predict_matrix(model, u[None, :], queries)[0]
 
 
 def predict(model: TrainedModel, u: np.ndarray, y: np.ndarray) -> float:
@@ -410,8 +317,9 @@ def predict(model: TrainedModel, u: np.ndarray, y: np.ndarray) -> float:
 def predict_matrix(model: TrainedModel, inputs: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Evaluate many input functions at shared query locations.
 
-    Returns an (n_functions, n_queries) matrix; agrees with predict_field
-    row by row and exists so benchmark sweeps stay fast.
+    Returns the (n_functions, n_queries) matrix of calibrated outputs
+    scale * b(u_j)^T W t(y_l) + offset, with b and t each normalized to unit
+    sum for nrbon. predict_field and predict evaluate through it.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != model.sensor_count:
@@ -426,8 +334,10 @@ def predict_matrix(model: TrainedModel, inputs: np.ndarray, queries: np.ndarray)
     branch_inputs = np.fft.fft(inputs, axis=1) if model.variant == "frbon" else inputs
     branch_feats = feature_matrix(model.branch_layer, branch_inputs)
     trunk_feats = feature_matrix(model.trunk_layer, queries)
-    raw = _raw_outputs(branch_feats, trunk_feats, model.weights, model.variant == "nrbon")
-    return model.calibration.apply(raw)
+    if model.variant == "nrbon":
+        branch_feats = _normalize_rows(branch_feats)
+        trunk_feats = _normalize_rows(trunk_feats)
+    return model.calibration.apply(_raw_outputs(branch_feats, trunk_feats, model.weights))
 
 
 def save_model(model: TrainedModel, destination) -> None:

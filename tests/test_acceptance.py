@@ -34,7 +34,7 @@ from rbon.climate import fixture_path
 from rbon.clustering import ClusterConfig, kmeans
 from rbon.harness import desk_config, run_forecast, run_table_row
 from rbon.kernels import RbfLayer, gaussian_rbf
-from rbon.least_squares import Calibration, min_norm_lstsq
+from rbon.least_squares import Calibration, kronecker_lstsq
 from rbon.metrics import l2_relative_error, mean_and_moe
 from rbon.model import (
     ModelConfig,
@@ -217,14 +217,18 @@ def test_criterion_08_minimum_norm_solve():
         worst_null = 0.0
         worst_col = 0.0
         for _ in range(10):
-            A = rng.normal(size=(9, 5))  # wide system: many exact solutions
-            b = rng.normal(size=5)
-            x = min_norm_lstsq(A, b)
-            null = null_space(A.T)
-            worst_null = max(worst_null, float(np.max(np.abs(null.T @ x))))
-            residual = A.T @ x - b
-            scale = max(float(np.linalg.norm(b)), 1.0)
-            worst_col = max(worst_col, float(np.max(np.abs(A @ residual))) / scale)
+            # wide factors, so kron(B, T) w = vec(Y) has many exact solutions;
+            # the checks run on the stacked system that train's solve avoids forming
+            B = rng.normal(size=(3, 5))
+            T = rng.normal(size=(4, 6))
+            Y = rng.normal(size=(3, 4))
+            w = kronecker_lstsq(B, T, Y)
+            K = np.kron(B, T)
+            null = null_space(K)
+            worst_null = max(worst_null, float(np.max(np.abs(null.T @ w))))
+            residual = K @ w - Y.ravel()
+            scale = max(float(np.linalg.norm(Y)), 1.0)
+            worst_col = max(worst_col, float(np.max(np.abs(K.T @ residual))) / scale)
     ok = worst_null <= 1e-9 and worst_col <= 1e-9
     _report(
         8,

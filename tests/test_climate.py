@@ -260,3 +260,11 @@ def test_forecast_run_on_fixtures():
     assert max(result.train_years) < min(result.test_years)
     assert result.predictions.shape == (2, 12)
     assert result.train_predictions.shape[0] == len(result.train_years)
+
+
+def test_forecast_one_year_holdout():
+    result = run_forecast(target="global", holdout_years=1, seed=0)
+    assert result.test_years == (2023,)
+    assert result.predictions.shape == (1, 12)
+    assert np.all(np.isfinite(result.predictions))
+    assert result.per_year_errors.shape == (1,)

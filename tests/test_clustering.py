@@ -119,14 +119,6 @@ def test_fewer_points_than_required():
         kmeans(np.array([[1.0]]), ClusterConfig(k=1))
 
 
-def test_manual_centers_bypass_clustering():
-    points = np.array([[0.0], [1.0], [10.0], [11.0]])
-    manual = np.array([[2.0], [9.0]])
-    result = kmeans(points, ClusterConfig(k=2, manual_centers=manual))
-    np.testing.assert_array_equal(result.centers, manual)
-    np.testing.assert_array_equal(result.assignments, [0, 0, 1, 1])
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(k=0)

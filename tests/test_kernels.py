@@ -1,17 +1,9 @@
-"""Gaussian units, feature matrices, Kronecker products, normalization."""
+"""Gaussian units and feature matrices."""
 
 import numpy as np
 import pytest
 
-from rbon.kernels import (
-    DegenerateFeatureError,
-    RbfLayer,
-    feature_matrix,
-    feature_product,
-    gaussian_rbf,
-    layer_features,
-    normalize_features,
-)
+from rbon.kernels import RbfLayer, feature_matrix, gaussian_rbf
 
 EXP_HALF = 0.6065306597126334  # exp(-1/2) to full double precision
 
@@ -89,13 +81,6 @@ def test_feature_matrix_matches_scalar_kernel():
             )
 
 
-def test_layer_features_is_first_row_of_matrix():
-    rng = np.random.default_rng(3)
-    layer = RbfLayer(centers=rng.normal(size=(4, 2)), spreads=rng.uniform(0.5, 2, 4))
-    x = rng.normal(size=2)
-    np.testing.assert_array_equal(layer_features(layer, x), feature_matrix(layer, x[None, :])[0])
-
-
 def test_feature_matrix_rejects_mismatches():
     layer = RbfLayer(centers=np.zeros((2, 3)), spreads=np.ones(2))
     with pytest.raises(ValueError):
@@ -106,35 +91,3 @@ def test_feature_matrix_rejects_mismatches():
     with pytest.raises(ValueError):
         feature_matrix(clayer, np.zeros((1, 3)))
 
-
-def test_feature_product_is_branch_major():
-    # entry for (branch i, trunk k) must sit at flat index i * N + k
-    rng = np.random.default_rng(4)
-    b = rng.uniform(0.1, 1.0, size=3)
-    t = rng.uniform(0.1, 1.0, size=4)
-    product = feature_product(b, t)
-    assert product.shape == (12,)
-    for i in range(3):
-        for k in range(4):
-            assert product[i * 4 + k] == pytest.approx(b[i] * t[k], abs=1e-15)
-
-
-def test_feature_product_rejects_empty():
-    with pytest.raises(ValueError):
-        feature_product(np.array([]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        feature_product(np.array([1.0]), np.array([]))
-
-
-def test_normalize_features_sums_to_one():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        v = rng.uniform(0.01, 1.0, size=8)
-        w = normalize_features(v)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(w * v.sum(), v, atol=1e-12)
-
-
-def test_normalize_features_degenerate_raises():
-    with pytest.raises(DegenerateFeatureError):
-        normalize_features(np.zeros(5))

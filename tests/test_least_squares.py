@@ -1,106 +1,71 @@
-"""Minimum-norm solves, weight averaging, and output calibration."""
+"""The minimum-norm Kronecker solve and output calibration."""
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from rbon.least_squares import (
-    average_weights,
-    build_design_matrix,
-    fit_calibration,
-    min_norm_lstsq,
-)
+from rbon.least_squares import fit_calibration, kronecker_lstsq
 
 
 def test_identity_system():
-    b = np.array([3.0, -1.0, 2.0])
-    np.testing.assert_allclose(min_norm_lstsq(np.eye(3), b), b, atol=1e-12)
+    Y = np.array([[3.0, -1.0], [2.0, 0.5], [-4.0, 1.0]])
+    np.testing.assert_allclose(kronecker_lstsq(np.eye(3), np.eye(2), Y), Y.ravel(), atol=1e-12)
 
 
 def test_rank_one_hand_case():
-    # A^T x = b with A^T = [[1, 1], [1, 1]], b = (2, 2): every solution has
-    # x1 + x2 = 2 and the shortest one is (1, 1)
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    x = min_norm_lstsq(A, np.array([2.0, 2.0]))
-    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
+    # B w = y with B = [[1, 1], [1, 1]], y = (2, 2): every solution has
+    # w1 + w2 = 2 and the shortest one is (1, 1)
+    B = np.array([[1.0, 1.0], [1.0, 1.0]])
+    w = kronecker_lstsq(B, np.ones((1, 1)), np.array([[2.0], [2.0]]))
+    np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-12)
 
 
 def test_overdetermined_matches_normal_equations():
     rng = np.random.default_rng(20)
     for _ in range(10):
-        A = rng.normal(size=(3, 6))  # A^T is 6x3, full column rank a.s.
-        b = rng.normal(size=6)
-        x = min_norm_lstsq(A, b)
-        oracle = np.linalg.solve(A @ A.T, A @ b)
-        np.testing.assert_allclose(x, oracle, atol=1e-10)
+        B = rng.normal(size=(6, 3))  # tall factors: full column rank a.s.
+        T = rng.normal(size=(5, 2))
+        Y = rng.normal(size=(6, 5))
+        K = np.kron(B, T)
+        oracle = np.linalg.solve(K.T @ K, K.T @ Y.ravel())
+        np.testing.assert_allclose(kronecker_lstsq(B, T, Y), oracle, atol=1e-10)
 
 
 def test_minimum_norm_among_solutions():
     rng = np.random.default_rng(21)
     for _ in range(10):
-        A = rng.normal(size=(7, 4))  # A^T is 4x7: underdetermined, wide
-        b = rng.normal(size=4)
-        x = min_norm_lstsq(A, b)
-        null = null_space(A.T)  # directions that leave the residual unchanged
-        assert null.shape[1] >= 3
+        B = rng.normal(size=(2, 4))  # wide factors: kron(B, T) is 6 x 12
+        T = rng.normal(size=(3, 3))
+        Y = rng.normal(size=(2, 3))
+        w = kronecker_lstsq(B, T, Y)
+        null = null_space(np.kron(B, T))  # directions that leave the residual unchanged
+        assert null.shape[1] >= 6
         # orthogonal to every null direction, so no shorter solution exists
-        np.testing.assert_allclose(null.T @ x, 0.0, atol=1e-9)
+        np.testing.assert_allclose(null.T @ w, 0.0, atol=1e-9)
         for j in range(null.shape[1]):
-            assert np.linalg.norm(x + 0.5 * null[:, j]) > np.linalg.norm(x)
+            assert np.linalg.norm(w + 0.5 * null[:, j]) > np.linalg.norm(w)
 
 
 def test_residual_orthogonal_to_design_columns():
     rng = np.random.default_rng(22)
     for trial in range(10):
-        p, q = (8, 5) if trial % 2 else (5, 8)
-        A = rng.normal(size=(p, q))
-        b = rng.normal(size=q)
-        x = min_norm_lstsq(A, b)
-        residual = A.T @ x - b
-        scale = max(np.linalg.norm(A), 1.0) * max(np.linalg.norm(b), 1.0)
-        np.testing.assert_allclose(A @ residual / scale, 0.0, atol=1e-9)
+        rows, cols = (8, 5) if trial % 2 else (5, 8)
+        B = rng.normal(size=(rows, cols))
+        T = rng.normal(size=(3, 2))
+        Y = rng.normal(size=(rows, 3))
+        K = np.kron(B, T)
+        residual = K @ kronecker_lstsq(B, T, Y) - Y.ravel()
+        scale = max(np.linalg.norm(K), 1.0) * max(np.linalg.norm(Y), 1.0)
+        np.testing.assert_allclose(K.T @ residual / scale, 0.0, atol=1e-9)
 
 
-def test_min_norm_lstsq_validation():
+def test_kronecker_lstsq_validation():
     with pytest.raises(ValueError):
-        min_norm_lstsq(np.ones(3), np.ones(3))
+        kronecker_lstsq(np.ones(3), np.ones((2, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
-        min_norm_lstsq(np.ones((2, 3)), np.ones(4))
+        kronecker_lstsq(np.ones((3, 2)), np.ones((2, 2)), np.ones((3, 3)))
     with pytest.raises(ValueError):
-        min_norm_lstsq(np.array([[np.inf, 1.0]]), np.ones(1))
-
-
-def test_average_weights_hand_cases():
-    np.testing.assert_allclose(
-        average_weights([np.array([0.0, 2.0]), np.array([2.0, 0.0])]), [1.0, 1.0]
-    )
-    same = np.array([1.5, -2.5, 3.0])
-    np.testing.assert_array_equal(average_weights([same, same, same]), same)
-
-
-def test_average_weights_matches_scalar_loop():
-    rng = np.random.default_rng(23)
-    vectors = [rng.normal(size=9) for _ in range(7)]
-    averaged = average_weights(vectors)
-    for i in range(9):
-        assert averaged[i] == pytest.approx(
-            sum(v[i] for v in vectors) / 7.0, abs=1e-14
-        )
-
-
-def test_average_weights_permutation_invariant():
-    rng = np.random.default_rng(24)
-    vectors = [rng.normal(size=5) for _ in range(6)]
-    forward = average_weights(vectors)
-    backward = average_weights(vectors[::-1])
-    np.testing.assert_allclose(forward, backward, atol=1e-15)
-
-
-def test_average_weights_validation():
-    with pytest.raises(ValueError):
-        average_weights([])
-    with pytest.raises(ValueError):
-        average_weights([np.ones(3), np.ones(4)])
+        kronecker_lstsq(np.array([[np.inf, 1.0]]), np.ones((1, 1)), np.ones((1, 1)))
 
 
 def test_calibration_recovers_exact_affine_map():
@@ -141,22 +106,3 @@ def test_calibration_validation():
         fit_calibration(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         fit_calibration(np.ones(1), np.ones(1))
-
-
-def test_design_matrix_columns_are_feature_products():
-    rng = np.random.default_rng(27)
-    branch = rng.uniform(0.1, 1.0, size=(4, 3))  # 4 functions, 3 branch units
-    trunk = rng.uniform(0.1, 1.0, size=5)  # one query's trunk features
-    design = build_design_matrix(branch, trunk, query_index=2)
-    assert design.values.shape == (15, 4)
-    assert design.query_index == 2
-    for j in range(4):
-        np.testing.assert_allclose(design.values[:, j], np.kron(branch[j], trunk), atol=1e-15)
-
-
-def test_design_matrix_normalized_columns_sum_to_one():
-    rng = np.random.default_rng(28)
-    branch = rng.uniform(0.1, 1.0, size=(3, 2))
-    trunk = rng.uniform(0.1, 1.0, size=4)
-    design = build_design_matrix(branch, trunk, query_index=0, normalized=True)
-    np.testing.assert_allclose(design.values.sum(axis=0), np.ones(3), atol=1e-12)

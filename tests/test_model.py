@@ -239,25 +239,6 @@ def test_stacked_solve_matches_full_system_when_rank_deficient():
     assert np.linalg.norm(model.weights - oracle) <= 1e-9 * scale
 
 
-def test_per_query_average_matches_manual_solve():
-    rng = np.random.default_rng(74)
-    data = _smooth_dataset(rng, functions=8, sensors=7, queries=5)
-    model = train(
-        data,
-        ModelConfig(variant="rbon", branch_units=3, trunk_units=3,
-                    branch_overlap=2.0, trunk_overlap=2.0,
-                    weight_solve="per_query_average"),
-    )
-    B = feature_matrix(model.branch_layer, data.inputs)
-    T = feature_matrix(model.trunk_layer, data.queries)
-    per_query = []
-    for l in range(data.n_queries):
-        design = np.array([np.kron(B[j], T[l]) for j in range(data.n_functions)])
-        w, *_ = np.linalg.lstsq(design, data.targets[:, l], rcond=None)
-        per_query.append(w)
-    np.testing.assert_allclose(model.weights, np.mean(per_query, axis=0), atol=1e-10)
-
-
 def test_constant_functions_identity_operator():
     # constant inputs u = c, identity operator: held-out constants must come
     # back essentially exactly, and prediction extends to any location
@@ -365,7 +346,7 @@ def test_far_input_degenerates_normalized_features():
 def test_training_set_validation():
     queries = np.zeros((3, 1))
     with pytest.raises(ValueError):
-        TrainingSet(inputs=np.zeros((1, 4)), queries=queries, targets=np.zeros((1, 3)))
+        TrainingSet(inputs=np.zeros((0, 4)), queries=queries, targets=np.zeros((0, 3)))
     with pytest.raises(ValueError):
         TrainingSet(inputs=np.zeros((2, 4)), queries=queries, targets=np.zeros((2, 2)))
     bad = np.zeros((2, 4))
@@ -374,11 +355,18 @@ def test_training_set_validation():
         TrainingSet(inputs=bad, queries=queries, targets=np.zeros((2, 3)))
 
 
+def test_train_needs_two_functions():
+    # one function is a valid (test) split, but too few to train on
+    single = TrainingSet(inputs=np.zeros((1, 4)), queries=np.zeros((3, 1)),
+                         targets=np.zeros((1, 3)))
+    assert single.n_functions == 1
+    with pytest.raises(ValueError, match="at least 2 functions"):
+        train(single, ModelConfig(branch_units=1, trunk_units=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(variant="mystery")
-    with pytest.raises(ValueError):
-        ModelConfig(weight_solve="exact")
     with pytest.raises(ValueError):
         ModelConfig(branch_units=0)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ come from K-means, spreads from inter-center distances, and weights from
 a single pseudoinverse solve, so training needs no gradient descent.
 """
 
-from .kernels import DegenerateFeatureError, RbfLayer, feature_matrix, gaussian_rbf
+from .kernels import DegenerateFeatureError, RbfLayer, feature_matrix, gaussian_rbf, real_view
 from .clustering import (
     ClusterConfig,
     ClusterResult,
@@ -89,6 +89,7 @@ __all__ = [
     "predict",
     "predict_field",
     "predict_matrix",
+    "real_view",
     "save_model",
     "solve_beam",
     "solve_burgers",

@@ -161,7 +161,8 @@ def cmd_train(args) -> int:
 
     overlaps = (args.branch_overlap, args.trunk_overlap)
     if args.branch_units is not None or args.trunk_units is not None:
-        sizes = [(args.branch_units or 10, args.trunk_units or 10)]
+        sizes = [(10 if args.branch_units is None else args.branch_units,
+                  10 if args.trunk_units is None else args.trunk_units)]
     elif validation is not None:
         sizes = list(SIZE_GRID)
     else:

@@ -1,14 +1,15 @@
 """K-means center selection and RBF spread computation.
 
 Lloyd's algorithm with k-means++ seeding, restarted several times; the restart
-with the smallest within-cluster sum of squares wins. Complex data (frequency
-domain branch inputs) is clustered in the interleaved re/im embedding, which
-preserves the modulus norm exactly.
+with the smallest within-cluster sum of squares wins. Points are real; every
+distance comes from kernels.sq_dist.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .kernels import real_view, sq_dist
 
 SPREAD_FLOOR = 1e-8
 # A Lloyd run stops after this many iterations, or once no center moves by
@@ -38,35 +39,17 @@ class ClusterResult:
     wcss_history: list = field(default_factory=list)
 
 
-def embed_complex(Z):
-    """C^m -> R^(2m), interleaving re/im; preserves squared modulus distances."""
-    Z = np.atleast_2d(Z)
-    out = np.empty((Z.shape[0], 2 * Z.shape[1]))
-    out[:, 0::2] = Z.real
-    out[:, 1::2] = Z.imag
-    return out
-
-
-def unembed_complex(X):
-    X = np.atleast_2d(X)
-    return X[:, 0::2] + 1j * X[:, 1::2]
-
-
-def _sq_dist(points, centers):
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-
-
 def _kmeanspp_init(points, k, rng):
     n = len(points)
     idx = [int(rng.integers(n))]
-    d2 = ((points - points[idx[0]]) ** 2).sum(axis=1)
+    d2 = sq_dist(points, points[idx[0]:idx[0] + 1])[:, 0]
     while len(idx) < k:
         total = d2.sum()
         if total <= 0:
             break  # every point duplicates a chosen center
         nxt = int(rng.choice(n, p=d2 / total))
         idx.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dist(points, points[nxt:nxt + 1])[:, 0])
     return points[idx].copy()
 
 
@@ -80,7 +63,7 @@ def lloyd(points, k, rng):
     history = []
     assignments = None
     for _ in range(MAX_ITERATIONS):
-        d2 = _sq_dist(points, centers)
+        d2 = sq_dist(points, centers)
         assignments = d2.argmin(axis=1)
         wcss = float(d2[np.arange(len(points)), assignments].sum())
         if history and wcss > history[-1] * (1 + 1e-12) + 1e-12:
@@ -101,7 +84,7 @@ def lloyd(points, k, rng):
         centers = new_centers
         if shift < CONVERGENCE_TOL:
             break
-    d2 = _sq_dist(points, centers)
+    d2 = sq_dist(points, centers)
     assignments = d2.argmin(axis=1)
     wcss = float(d2[np.arange(len(points)), assignments].sum())
     history.append(wcss)
@@ -111,9 +94,8 @@ def lloyd(points, k, rng):
 def kmeans(points, config):
     """Best-of-restarts k-means; deterministic given config.seed."""
     pts = np.atleast_2d(np.asarray(points))
-    was_complex = np.iscomplexobj(pts)
-    if was_complex:
-        pts = embed_complex(pts)
+    if np.iscomplexobj(pts):
+        raise ValueError("k-means needs real points; pass complex data through real_view")
     pts = pts.astype(float, copy=False)
     if len(pts) < 2:
         raise ValueError("k-means requires at least two points")
@@ -128,11 +110,9 @@ def kmeans(points, config):
     _, keep = np.unique(centers, axis=0, return_index=True)
     centers = centers[np.sort(keep)]
 
-    d2 = _sq_dist(pts, centers)
+    d2 = sq_dist(pts, centers)
     assignments = d2.argmin(axis=1)
     wcss = float(d2[np.arange(len(pts)), assignments].sum())
-    if was_complex:
-        centers = unembed_complex(centers)
     return ClusterResult(centers=centers, assignments=assignments, wcss=wcss,
                          wcss_history=history)
 
@@ -142,18 +122,16 @@ def compute_spreads(centers, overlap=1.0, data_diameter=None):
 
     With a single center (or all centers coincident) there is no inter-center
     distance; fall back to half the data diameter when the caller provides it,
-    else to the floor.
+    else to the floor. Complex centers are read through kernels.real_view.
     """
     if overlap <= 0:
         raise ValueError("overlap must be positive")
-    C = np.atleast_2d(np.asarray(centers))
-    if np.iscomplexobj(C):
-        C = embed_complex(C)
+    C = np.atleast_2d(real_view(np.asarray(centers)))
     n = len(C)
     fallback = (data_diameter / 2.0) if data_diameter is not None else 0.0
     if n == 1:
         return np.array([max(fallback * overlap, SPREAD_FLOOR)])
-    d2 = _sq_dist(C, C)
+    d2 = sq_dist(C, C)
     np.fill_diagonal(d2, np.inf)
     d2[d2 == 0] = np.inf
     nearest = np.sqrt(d2.min(axis=1))

@@ -1,7 +1,8 @@
-"""Gaussian radial basis units and branch/trunk feature assembly.
+"""Gaussian radial basis units and the one squared-distance kernel.
 
-Branch layers may hold complex centers (frequency-domain inputs); the kernel
-uses the Euclidean norm of component moduli, so feature values are always real.
+Every layer is real. Complex data (the DFT of frbon's branch inputs) enters
+through real_view, the interleaved (re, im) real vector, whose Euclidean
+distances are exactly the modulus distances of the complex vector.
 """
 
 from dataclasses import dataclass
@@ -15,13 +16,15 @@ class DegenerateFeatureError(ValueError):
 
 @dataclass(frozen=True)
 class RbfLayer:
-    """One hidden layer: centers (units x dim) and positive spreads (units,)."""
+    """One hidden layer: real centers (units x dim) and positive spreads (units,)."""
 
     centers: np.ndarray
     spreads: np.ndarray
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers))
+        if np.iscomplexobj(centers):
+            raise ValueError("centers must be real; pass complex data through real_view")
         spreads = np.asarray(self.spreads, dtype=float).ravel()
         if centers.shape[0] != spreads.shape[0]:
             raise ValueError(
@@ -40,45 +43,38 @@ class RbfLayer:
     def input_dim(self):
         return self.centers.shape[1]
 
-    @property
-    def is_complex(self):
-        return np.iscomplexobj(self.centers)
+
+def real_view(X):
+    """Complex X as its interleaved (re, im) real view, last axis doubled; real X as is."""
+    if np.iscomplexobj(X):
+        # cast first: viewing complex64 as float would reinterpret its bits
+        return np.ascontiguousarray(X, dtype=complex).view(float)
+    return X
 
 
-def _squared_distances(X, centers):
-    """Pairwise squared distances, modulus-wise for complex data."""
-    X = np.atleast_2d(X)
-    diff = X[:, None, :] - centers[None, :, :]
-    if np.iscomplexobj(diff):
-        return (np.abs(diff) ** 2).sum(axis=2)
-    return (diff**2).sum(axis=2)
+def sq_dist(points, centers):
+    """Squared Euclidean distances, shape (len(points), len(centers))."""
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def gaussian_rbf(x, center, spread):
-    """exp(-||x - c||^2 / (2 sigma^2)), real-valued even for complex inputs."""
+    """exp(-||x - c||^2 / (2 sigma^2)); complex arguments are read through real_view."""
     if spread <= 0:
         raise ValueError(f"spread must be positive, got {spread}")
-    x = np.asarray(x).ravel()
-    center = np.asarray(center).ravel()
+    x = real_view(np.asarray(x)).ravel()
+    center = real_view(np.asarray(center)).ravel()
     if x.shape != center.shape:
         raise ValueError(f"dimension mismatch: x has {x.shape[0]}, center has {center.shape[0]}")
-    diff = x - center
-    if np.iscomplexobj(diff):
-        d2 = float((np.abs(diff) ** 2).sum())
-    else:
-        d2 = float((diff**2).sum())
+    d2 = float(((x - center) ** 2).sum())
     return float(np.exp(-d2 / (2.0 * spread**2)))
 
 
 def feature_matrix(layer, X):
-    """Feature vectors for many points at once, shape (len(X), layer.n_units)."""
-    X = np.atleast_2d(X)
+    """Features of many points, shape (len(X), layer.n_units); complex X via real_view."""
+    X = np.atleast_2d(real_view(np.asarray(X)))
     if X.shape[1] != layer.input_dim:
         raise ValueError(
             f"input dimension {X.shape[1]} does not match layer dimension {layer.input_dim}"
         )
-    if np.iscomplexobj(X) != layer.is_complex:
-        raise ValueError("real/complex field mismatch between input and layer")
-    d2 = _squared_distances(X, layer.centers)
+    d2 = sq_dist(X, layer.centers)
     return np.exp(-d2 / (2.0 * layer.spreads**2))
-

@@ -12,8 +12,9 @@ Three variants share this structure:
 
 * ``rbon``   plain weighted sum of feature products
 * ``nrbon``  feature products normalized to unit sum (convex combination)
-* ``frbon``  branch inputs pass through a forward DFT first, so the branch
-             clusters and distances live in the frequency domain
+* ``frbon``  branch inputs pass through a forward DFT first; the branch
+             layer clusters the spectrum's interleaved (re, im) real view,
+             whose distances are the spectrum's modulus distances
 """
 
 import hashlib
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .clustering import ClusterConfig, compute_spreads, embed_complex, kmeans
+from .clustering import ClusterConfig, compute_spreads, kmeans
 from .container import load_container, save_container
-from .kernels import DegenerateFeatureError, RbfLayer, feature_matrix
+from .kernels import DegenerateFeatureError, RbfLayer, feature_matrix, real_view
 from .least_squares import Calibration, fit_calibration, kronecker_lstsq
 
 VARIANTS = ("rbon", "nrbon", "frbon")
@@ -189,8 +190,9 @@ class TrainedModel:
 def to_frequency_domain(u: np.ndarray) -> np.ndarray:
     """Unnormalized forward DFT of the sensor samples.
 
-    The inverse (numpy's ifft) recovers the input; branch centers learned
-    from transformed inputs are complex vectors in the same convention.
+    The inverse (numpy's ifft) recovers the input. An frbon branch layer
+    holds centers in the interleaved (re, im) real view of this spectrum
+    (kernels.real_view), and feature_matrix accepts the spectrum itself.
     """
     u = np.asarray(u)
     if u.ndim != 1 or u.size < 1:
@@ -200,9 +202,14 @@ def to_frequency_domain(u: np.ndarray) -> np.ndarray:
 
 def _data_diameter(points: np.ndarray) -> float:
     """Largest pairwise distance, used as a spread fallback scale."""
-    if np.iscomplexobj(points):
-        points = embed_complex(points)
     return float(np.max(pdist(points)))
+
+
+def _branch_inputs(variant: str, inputs: np.ndarray) -> np.ndarray:
+    """What the branch layer sees: the samples, or for frbon their DFT's real view."""
+    if variant == "frbon":
+        return real_view(np.fft.fft(inputs, axis=1))
+    return inputs
 
 
 def _fit_layer(points, units, overlap, seed, restarts):
@@ -242,9 +249,7 @@ def train(data: TrainingSet, config: ModelConfig) -> TrainedModel:
     """
     if data.n_functions < 2:
         raise ValueError(f"train needs at least 2 functions, got {data.n_functions}")
-    branch_inputs = data.inputs
-    if config.variant == "frbon":
-        branch_inputs = np.fft.fft(data.inputs, axis=1)
+    branch_inputs = _branch_inputs(config.variant, data.inputs)
 
     branch_seed, trunk_seed = (
         int(s) for s in np.random.SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
@@ -331,8 +336,7 @@ def predict_matrix(model: TrainedModel, inputs: np.ndarray, queries: np.ndarray)
         raise ValueError(
             f"expected queries of shape (n, {model.query_dim}), got {queries.shape}"
         )
-    branch_inputs = np.fft.fft(inputs, axis=1) if model.variant == "frbon" else inputs
-    branch_feats = feature_matrix(model.branch_layer, branch_inputs)
+    branch_feats = feature_matrix(model.branch_layer, _branch_inputs(model.variant, inputs))
     trunk_feats = feature_matrix(model.trunk_layer, queries)
     if model.variant == "nrbon":
         branch_feats = _normalize_rows(branch_feats)
@@ -343,9 +347,12 @@ def predict_matrix(model: TrainedModel, inputs: np.ndarray, queries: np.ndarray)
 def save_model(model: TrainedModel, destination) -> None:
     """Write the model so that load_model reproduces predictions exactly."""
     centers = model.branch_layer.centers
+    # the file keeps branch centers as real and imaginary parts; frbon's
+    # interleaved (re, im) columns are those parts
+    complex_branch = model.variant == "frbon"
     arrays = {
-        "branch_centers_real": np.real(centers),
-        "branch_centers_imag": np.imag(centers),
+        "branch_centers_real": centers[:, 0::2] if complex_branch else centers,
+        "branch_centers_imag": centers[:, 1::2] if complex_branch else np.zeros_like(centers),
         "branch_spreads": model.branch_layer.spreads,
         "trunk_centers": model.trunk_layer.centers,
         "trunk_spreads": model.trunk_layer.spreads,
@@ -363,7 +370,7 @@ def save_model(model: TrainedModel, destination) -> None:
         "seed": model.seed,
         "config_hash": model.config_hash,
         "training_residual": model.training_residual,
-        "complex_branch": bool(model.branch_layer.is_complex),
+        "complex_branch": complex_branch,
     }
     save_container(destination, arrays, meta)
 
@@ -371,11 +378,11 @@ def save_model(model: TrainedModel, destination) -> None:
 def load_model(source) -> TrainedModel:
     """Read a model written by save_model."""
     arrays, meta = load_container(source, expected_kind="model")
-    real = arrays["branch_centers_real"]
+    centers = arrays["branch_centers_real"]
     if meta["complex_branch"]:
-        centers = real + 1j * arrays["branch_centers_imag"]
-    else:
-        centers = real
+        # re-interleave the parts into the real view the layer was fitted in
+        centers = np.stack([centers, arrays["branch_centers_imag"]], axis=2)
+        centers = centers.reshape(len(centers), -1)
     branch_layer = RbfLayer(centers=centers, spreads=arrays["branch_spreads"])
     trunk_layer = RbfLayer(centers=arrays["trunk_centers"], spreads=arrays["trunk_spreads"])
     return TrainedModel(

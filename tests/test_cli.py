@@ -116,6 +116,15 @@ def test_train_frequency_variant_records_complex_centers(beam_run, tmp_path):
     assert meta["complex_branch"] is True
 
 
+def test_train_rejects_zero_units(beam_run, tmp_path, capsys):
+    out = tmp_path / "zero"
+    code = main(["train", "--data", str(beam_run / "beam_train.npz"),
+                 "--branch-units", "0", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "rbon_model.npz").exists()
+
+
 def test_train_without_validation_uses_the_default_size(beam_run, tmp_path):
     out = tmp_path / "plain"
     code = main(["train", "--data", str(beam_run / "beam_train.npz"), "--out", str(out)])

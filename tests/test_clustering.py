@@ -5,14 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rbon.clustering import (
-    SPREAD_FLOOR,
-    ClusterConfig,
-    compute_spreads,
-    embed_complex,
-    kmeans,
-    unembed_complex,
-)
+from rbon.clustering import SPREAD_FLOOR, ClusterConfig, compute_spreads, kmeans
 
 
 def _wcss_of(points, centers):
@@ -126,26 +119,12 @@ def test_config_validation():
         ClusterConfig(k=2, restarts=0)
 
 
-def test_complex_embedding_preserves_distances():
-    rng = np.random.default_rng(13)
-    Z = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-    E = embed_complex(Z)
-    np.testing.assert_allclose(unembed_complex(E), Z, atol=0)
-    for i in range(6):
-        for j in range(6):
-            assert (np.abs(Z[i] - Z[j]) ** 2).sum() == pytest.approx(
-                ((E[i] - E[j]) ** 2).sum(), abs=1e-12
-            )
-
-
-def test_complex_clustering_matches_embedded_run():
+def test_kmeans_rejects_complex_points():
+    # a cast to float would drop the imaginary parts; spectra go through real_view
     rng = np.random.default_rng(14)
     Z = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
-    direct = kmeans(Z, ClusterConfig(k=3, seed=5))
-    embedded = kmeans(embed_complex(Z), ClusterConfig(k=3, seed=5))
-    assert np.iscomplexobj(direct.centers)
-    np.testing.assert_allclose(embed_complex(direct.centers), embedded.centers, atol=1e-12)
-    assert direct.wcss == pytest.approx(embedded.wcss, rel=1e-12)
+    with pytest.raises(ValueError, match="real_view"):
+        kmeans(Z, ClusterConfig(k=3, seed=5))
 
 
 def test_spreads_two_centers():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rbon.kernels import RbfLayer, feature_matrix, gaussian_rbf
+from rbon.kernels import RbfLayer, feature_matrix, gaussian_rbf, real_view
 
 EXP_HALF = 0.6065306597126334  # exp(-1/2) to full double precision
 
@@ -29,13 +29,28 @@ def test_gaussian_rbf_monotone_decreasing_in_distance():
 
 
 def test_gaussian_rbf_complex_uses_modulus_distance():
-    x = np.array([1.0 + 1.0j])
-    c = np.array([0.0 + 0.0j])
-    # |1 + i|^2 = 2
+    # complex data is read as its interleaved (re, im) view: |1 + i|^2 = 2
     expected = np.exp(-2.0 / (2.0 * 1.5**2))
-    value = gaussian_rbf(x, c, 1.5)
+    value = gaussian_rbf(np.array([1.0 + 1.0j]), np.array([0.0, 0.0]), 1.5)
     assert isinstance(value, float)
     assert value == pytest.approx(expected, abs=1e-15)
+    rng = np.random.default_rng(3)
+    Z = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    centers = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    layer = RbfLayer(centers=real_view(centers), spreads=rng.uniform(0.5, 2.0, 4))
+    np.testing.assert_array_equal(feature_matrix(layer, Z), feature_matrix(layer, real_view(Z)))
+    modulus = (np.abs(Z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    np.testing.assert_allclose(
+        feature_matrix(layer, Z), np.exp(-modulus / (2.0 * layer.spreads**2)), rtol=1e-13
+    )
+
+
+def test_real_view_interleaves_and_keeps_real_input():
+    Z = np.array([[1 + 2j, 3 - 4j]], dtype=np.complex64)
+    np.testing.assert_array_equal(real_view(Z), [[1.0, 2.0, 3.0, -4.0]])
+    assert real_view(Z).dtype == np.float64
+    X = np.arange(6.0).reshape(2, 3)
+    assert real_view(X) is X
 
 
 def test_gaussian_rbf_rejects_nonpositive_spread():
@@ -61,9 +76,8 @@ def test_layer_properties():
     layer = RbfLayer(centers=np.zeros((4, 3)), spreads=np.ones(4))
     assert layer.n_units == 4
     assert layer.input_dim == 3
-    assert not layer.is_complex
-    clayer = RbfLayer(centers=np.zeros((2, 3), dtype=complex), spreads=np.ones(2))
-    assert clayer.is_complex
+    with pytest.raises(ValueError, match="real_view"):
+        RbfLayer(centers=np.zeros((2, 3), dtype=complex), spreads=np.ones(2))
 
 
 def test_feature_matrix_matches_scalar_kernel():
@@ -85,9 +99,8 @@ def test_feature_matrix_rejects_mismatches():
     layer = RbfLayer(centers=np.zeros((2, 3)), spreads=np.ones(2))
     with pytest.raises(ValueError):
         feature_matrix(layer, np.zeros((1, 4)))
+    # a complex input reads as twice its width
     with pytest.raises(ValueError):
         feature_matrix(layer, np.zeros((1, 3), dtype=complex))
-    clayer = RbfLayer(centers=np.zeros((2, 3), dtype=complex), spreads=np.ones(2))
     with pytest.raises(ValueError):
-        feature_matrix(clayer, np.zeros((1, 3)))
-
+        RbfLayer(centers=np.zeros((2, 3), dtype=complex), spreads=np.ones(2))

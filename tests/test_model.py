@@ -325,8 +325,10 @@ def test_frequency_variant_trains_with_complex_branch():
     data = _smooth_dataset(rng, functions=10, sensors=8, queries=6)
     model = train(data, ModelConfig(variant="frbon", branch_units=4, trunk_units=4,
                                     branch_overlap=2.0, trunk_overlap=2.0))
-    assert model.branch_layer.is_complex
-    assert not model.trunk_layer.is_complex
+    # the branch fits the spectrum's interleaved (re, im) real view
+    assert model.branch_layer.input_dim == 2 * data.n_sensors
+    assert model.branch_layer.centers.dtype == np.float64
+    assert model.trunk_layer.input_dim == data.query_dim
     field = predict_field(model, data.inputs[0], data.queries)
     assert np.all(np.isfinite(field))
 
@@ -424,8 +426,37 @@ def test_frequency_model_round_trips_complex_centers(tmp_path):
     path = tmp_path / "freq.npz"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.branch_layer.is_complex
+    assert loaded.branch_layer.centers.shape == (model.branch_units, 2 * data.n_sensors)
+    assert loaded.branch_layer.centers.dtype == np.float64
     np.testing.assert_array_equal(loaded.branch_layer.centers, model.branch_layer.centers)
+
+
+def test_complex_split_file_loads_to_interleaved_centers(tmp_path):
+    from rbon.container import save_container
+
+    path = tmp_path / "split.npz"
+    arrays = {
+        "branch_centers_real": np.array([[1.0, 2.0], [3.0, 4.0]]),
+        "branch_centers_imag": np.array([[5.0, 6.0], [7.0, 8.0]]),
+        "branch_spreads": np.ones(2),
+        "trunk_centers": np.zeros((1, 1)),
+        "trunk_spreads": np.ones(1),
+        "weights": np.array([1.0, -1.0]),
+    }
+    meta = {
+        "kind": "model", "variant": "frbon", "sensor_count": 2, "query_dim": 1,
+        "branch_units": 2, "trunk_units": 1, "scale": 1.0, "offset": 0.0, "seed": 0,
+        "config_hash": "hand", "training_residual": 0.0, "complex_branch": True,
+    }
+    save_container(path, arrays, meta)
+    model = load_model(path)
+    # row i is (re_i1, im_i1, re_i2, im_i2), the real view of the spectrum
+    np.testing.assert_array_equal(
+        model.branch_layer.centers, [[1.0, 5.0, 2.0, 6.0], [3.0, 7.0, 4.0, 8.0]]
+    )
+    resaved = tmp_path / "resaved.npz"
+    save_model(model, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_load_model_rejects_damaged_files(tmp_path):

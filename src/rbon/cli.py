@@ -25,6 +25,7 @@ from .harness import (
     per_function_errors,
     run_forecast,
     run_table_row,
+    select_model,
 )
 from .metrics import mean_and_moe
 from .model import ModelConfig, TrainingSet, save_model, load_model, train
@@ -160,32 +161,22 @@ def cmd_train(args) -> int:
     validation = _load_split(args.validation) if args.validation else None
 
     overlaps = (args.branch_overlap, args.trunk_overlap)
-    if args.branch_units is not None or args.trunk_units is not None:
-        sizes = [(10 if args.branch_units is None else args.branch_units,
-                  10 if args.trunk_units is None else args.trunk_units)]
-    elif validation is not None:
-        sizes = list(SIZE_GRID)
+    explicit = args.branch_units is not None or args.trunk_units is not None
+    size = (10 if args.branch_units is None else args.branch_units,
+            10 if args.trunk_units is None else args.trunk_units)
+    score = None
+    if validation is not None:
+        sizes = [size] if explicit else SIZE_GRID
+        model, score = select_model(train_set, validation, args.variant, seed, overlaps, sizes)
     else:
-        sizes = [(10, 10)]
-
-    best = None
-    for branch_units, trunk_units in sizes:
-        config = ModelConfig(
+        model = train(train_set, ModelConfig(
             variant=args.variant,
-            branch_units=branch_units,
-            trunk_units=trunk_units,
+            branch_units=size[0],
+            trunk_units=size[1],
             branch_overlap=overlaps[0],
             trunk_overlap=overlaps[1],
             seed=seed,
-        )
-        model = train(train_set, config)
-        if validation is not None:
-            score = float(np.mean(per_function_errors(model, validation)))
-        else:
-            score = model.training_residual
-        if best is None or score < best[0]:
-            best = (score, model)
-    score, model = best
+        ))
 
     model_path = os.path.join(out, f"{args.variant}_model.npz")
     save_model(model, model_path)
@@ -196,7 +187,7 @@ def cmd_train(args) -> int:
         "trunk_units": model.trunk_units,
         "seed": seed,
         "train_mean_error": float(np.mean(train_errors)),
-        "validation_mean_error": score if validation is not None else None,
+        "validation_mean_error": score,
         "training_residual": model.training_residual,
     }
     report_path = os.path.join(out, "training_report.json")
@@ -204,9 +195,8 @@ def cmd_train(args) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     _write_manifest(out, "train", report, [model_path, report_path])
-    shown = report["validation_mean_error"]
-    label = "validation" if shown is not None else "train"
-    value = shown if shown is not None else report["train_mean_error"]
+    label, value = ("validation", score) if score is not None else (
+        "train", report["train_mean_error"])
     print(
         f"{args.variant} {model.branch_units}x{model.trunk_units}: "
         f"{label} L2 relative error {format_scientific(value)}; saved {model_path}"

@@ -12,6 +12,8 @@ import numpy as np
 from .kernels import real_view, sq_dist
 
 SPREAD_FLOOR = 1e-8
+# k-means keeps the best of this many seeded Lloyd runs.
+RESTARTS = 10
 # A Lloyd run stops after this many iterations, or once no center moves by
 # CONVERGENCE_TOL or more.
 MAX_ITERATIONS = 300
@@ -21,7 +23,7 @@ CONVERGENCE_TOL = 1e-9
 @dataclass
 class ClusterConfig:
     k: int
-    restarts: int = 10
+    restarts: int = RESTARTS
     seed: int = 0
 
     def __post_init__(self):

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .benchmarks import BenchmarkConfig, build_benchmark_bundle, default_config
-from .climate import build_forecast_dataset, load_fixture, to_year_functions
+from .climate import build_forecast_dataset, common_years, load_fixture, to_year_functions
 from .metrics import ErrorSummary, l2_relative_error, mean_and_moe
 from .model import ModelConfig, TrainedModel, TrainingSet, predict_matrix, train
 
@@ -81,11 +81,14 @@ class CellResult:
 
 
 def select_model(
-    bundle, variant: str, seed: int,
+    train_set: TrainingSet,
+    validation: TrainingSet,
+    variant: str,
+    seed: int,
     overlaps: Tuple[float, float],
     size_grid: Sequence[Tuple[int, int]] = SIZE_GRID,
 ) -> Tuple[TrainedModel, float]:
-    """Train every candidate size and keep the lowest validation error."""
+    """Train every candidate size; return the lowest mean validation error's model and error."""
     best: Optional[Tuple[float, TrainedModel]] = None
     for branch_units, trunk_units in size_grid:
         config = ModelConfig(
@@ -96,8 +99,8 @@ def select_model(
             trunk_overlap=overlaps[1],
             seed=seed,
         )
-        model = train(bundle.train, config)
-        errors = per_function_errors(model, bundle.validation)
+        model = train(train_set, config)
+        errors = per_function_errors(model, validation)
         score = float(np.mean(errors))
         if best is None or score < best[0]:
             best = (score, model)
@@ -109,14 +112,13 @@ def run_cell(
     variant: str,
     seed: int,
     size_grid: Sequence[Tuple[int, int]] = SIZE_GRID,
-    overlaps: Optional[Tuple[float, float]] = None,
 ) -> CellResult:
     """Build, select, and score one benchmark cell."""
-    if overlaps is None:
-        overlaps = FAMILY_OVERLAPS[config.family]
     started = time.perf_counter()
     bundle = build_benchmark_bundle(config, seed)
-    model, validation_error = select_model(bundle, variant, seed, overlaps, size_grid)
+    model, validation_error = select_model(
+        bundle.train, bundle.validation, variant, seed, FAMILY_OVERLAPS[config.family], size_grid
+    )
     id_errors = per_function_errors(model, bundle.id_test)
     ood_errors = per_function_errors(model, bundle.ood_test)
     elapsed = time.perf_counter() - started
@@ -159,13 +161,9 @@ def run_table_row(
     config: BenchmarkConfig,
     variant: str,
     seeds: Sequence[int],
-    size_grid: Sequence[Tuple[int, int]] = SIZE_GRID,
-    overlaps: Optional[Tuple[float, float]] = None,
 ) -> TableRow:
     """Run one (family, variant) cell across seeds and pool the errors."""
-    cells = tuple(
-        run_cell(config, variant, seed, size_grid, overlaps) for seed in seeds
-    )
+    cells = tuple(run_cell(config, variant, seed) for seed in seeds)
     id_pool = np.concatenate([c.id_errors for c in cells])
     ood_pool = np.concatenate([c.ood_errors for c in cells])
     return TableRow(
@@ -210,7 +208,6 @@ CLIMATE_MODEL = dict(
     trunk_units=12,
     branch_overlap=3.0,
     trunk_overlap=1.5,
-    benchmark_cap=False,
 )
 
 
@@ -262,7 +259,7 @@ def run_forecast(
             for j in range(test_set.n_functions)
         ]
     )
-    common = sorted({f.year for f in co2_years} & {f.year for f in temp_years})
+    common = common_years(co2_years, temp_years)
     return ForecastResult(
         target=target,
         holdout_years=holdout_years,

@@ -5,6 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+# Confidence level of every margin of error.
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class ErrorSummary:
@@ -26,14 +29,14 @@ def l2_relative_error(v_true, v_pred):
     return float(np.linalg.norm(v_true - v_pred) / denom)
 
 
-def mean_and_moe(errors, confidence=0.95):
-    """Mean error with margin of error z * s / sqrt(n), sample std (n-1)."""
+def mean_and_moe(errors):
+    """Mean error with margin of error z * s / sqrt(n), sample std (n-1), at CONFIDENCE."""
     errors = [float(e) for e in errors]
     n = len(errors)
     if n < 2:
         raise ValueError("margin of error needs at least two values")
     arr = np.asarray(errors)
-    z = norm.ppf((1 + confidence) / 2)
+    z = norm.ppf((1 + CONFIDENCE) / 2)
     moe = float(z * arr.std(ddof=1) / np.sqrt(n))
     return ErrorSummary(
         mean_error=float(arr.mean()),

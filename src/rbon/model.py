@@ -24,15 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .clustering import ClusterConfig, compute_spreads, kmeans
-from .container import load_container, save_container
+from .clustering import RESTARTS, ClusterConfig, compute_spreads, kmeans
+from .container import CorruptFileError, load_container, save_container
 from .kernels import DegenerateFeatureError, RbfLayer, feature_matrix, real_view
 from .least_squares import Calibration, fit_calibration, kronecker_lstsq
 
 VARIANTS = ("rbon", "nrbon", "frbon")
 
-# Widest branch/trunk pair used in the PDE benchmark regime. Disable the cap
-# (benchmark_cap=False) for applications that need wider layers.
+# Widest branch/trunk pair used in the PDE benchmark regime.
 MAX_BENCHMARK_UNITS = 15
 MAX_BENCHMARK_WEIGHTS = 225
 
@@ -102,13 +101,13 @@ class ModelConfig:
     """Architecture and training knobs.
 
     variant picks the output formula (see the module docstring); the units
-    and overlaps size each layer and scale its spreads; seed and restarts
-    drive k-means. The output weights always come from one minimum-norm
-    least-squares solve over every (function, query) pair.
+    and overlaps size each layer and scale its spreads; seed drives
+    k-means, which keeps the best of clustering.RESTARTS runs. The output
+    weights always come from one minimum-norm least-squares solve over
+    every (function, query) pair.
 
-    benchmark_cap enforces the layer-width regime used by the PDE
-    benchmarks (at most 15 units per layer, at most 225 weights); turn it
-    off for wider models.
+    Layers are capped at MAX_BENCHMARK_UNITS units each and
+    MAX_BENCHMARK_WEIGHTS weights in total, the PDE benchmark regime.
     """
 
     variant: str = "rbon"
@@ -117,29 +116,18 @@ class ModelConfig:
     branch_overlap: float = 1.0
     trunk_overlap: float = 1.0
     seed: int = 0
-    restarts: int = 10
-    benchmark_cap: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.branch_units < 1 or self.trunk_units < 1:
             raise ValueError("branch_units and trunk_units must be at least 1")
-        if self.benchmark_cap:
-            if self.branch_units > MAX_BENCHMARK_UNITS or self.trunk_units > MAX_BENCHMARK_UNITS:
-                raise ValueError(
-                    f"layer width exceeds {MAX_BENCHMARK_UNITS} units; "
-                    "set benchmark_cap=False for wider models"
-                )
-            if self.branch_units * self.trunk_units > MAX_BENCHMARK_WEIGHTS:
-                raise ValueError(
-                    f"weight count exceeds {MAX_BENCHMARK_WEIGHTS}; "
-                    "set benchmark_cap=False for wider models"
-                )
+        if self.branch_units > MAX_BENCHMARK_UNITS or self.trunk_units > MAX_BENCHMARK_UNITS:
+            raise ValueError(f"layer width exceeds {MAX_BENCHMARK_UNITS} units")
+        if self.branch_units * self.trunk_units > MAX_BENCHMARK_WEIGHTS:
+            raise ValueError(f"weight count exceeds {MAX_BENCHMARK_WEIGHTS}")
         if not (self.branch_overlap > 0 and self.trunk_overlap > 0):
             raise ValueError("overlap factors must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
 
     def stable_hash(self) -> str:
         payload = {
@@ -149,7 +137,7 @@ class ModelConfig:
             "branch_overlap": self.branch_overlap,
             "trunk_overlap": self.trunk_overlap,
             "seed": self.seed,
-            "restarts": self.restarts,
+            "restarts": RESTARTS,
         }
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -212,8 +200,8 @@ def _branch_inputs(variant: str, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _fit_layer(points, units, overlap, seed, restarts):
-    result = kmeans(points, ClusterConfig(k=units, restarts=restarts, seed=seed))
+def _fit_layer(points, units, overlap, seed):
+    result = kmeans(points, ClusterConfig(k=units, seed=seed))
     # kmeans keeps distinct centers only, so compute_spreads falls back to
     # the data diameter only when a single center is left
     diameter = _data_diameter(points) if len(result.centers) == 1 else None
@@ -233,6 +221,16 @@ def _normalize_rows(features: np.ndarray) -> np.ndarray:
     return features / sums[:, None]
 
 
+def _features(variant, branch_layer, trunk_layer, inputs, queries):
+    """Branch and trunk feature matrices of the variant, row-normalized for nrbon."""
+    branch_feats = feature_matrix(branch_layer, _branch_inputs(variant, inputs))
+    trunk_feats = feature_matrix(trunk_layer, queries)
+    if variant == "nrbon":
+        branch_feats = _normalize_rows(branch_feats)
+        trunk_feats = _normalize_rows(trunk_feats)
+    return branch_feats, trunk_feats
+
+
 def _check_live_features(features: np.ndarray, layer_name: str) -> None:
     if np.max(features) <= 0.0:
         raise DegenerateFeatureError(
@@ -249,34 +247,23 @@ def train(data: TrainingSet, config: ModelConfig) -> TrainedModel:
     """
     if data.n_functions < 2:
         raise ValueError(f"train needs at least 2 functions, got {data.n_functions}")
-    branch_inputs = _branch_inputs(config.variant, data.inputs)
 
     branch_seed, trunk_seed = (
         int(s) for s in np.random.SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
     )
     branch_layer = _fit_layer(
-        branch_inputs,
+        _branch_inputs(config.variant, data.inputs),
         config.branch_units,
         config.branch_overlap,
         branch_seed,
-        config.restarts,
     )
-    trunk_layer = _fit_layer(
-        data.queries,
-        config.trunk_units,
-        config.trunk_overlap,
-        trunk_seed,
-        config.restarts,
-    )
+    trunk_layer = _fit_layer(data.queries, config.trunk_units, config.trunk_overlap, trunk_seed)
 
-    branch_feats = feature_matrix(branch_layer, branch_inputs)
-    trunk_feats = feature_matrix(trunk_layer, data.queries)
+    branch_feats, trunk_feats = _features(
+        config.variant, branch_layer, trunk_layer, data.inputs, data.queries
+    )
     _check_live_features(branch_feats, "branch")
     _check_live_features(trunk_feats, "trunk")
-
-    if config.variant == "nrbon":
-        branch_feats = _normalize_rows(branch_feats)
-        trunk_feats = _normalize_rows(trunk_feats)
 
     weights = kronecker_lstsq(branch_feats, trunk_feats, data.targets)
     raw = _raw_outputs(branch_feats, trunk_feats, weights)
@@ -336,11 +323,9 @@ def predict_matrix(model: TrainedModel, inputs: np.ndarray, queries: np.ndarray)
         raise ValueError(
             f"expected queries of shape (n, {model.query_dim}), got {queries.shape}"
         )
-    branch_feats = feature_matrix(model.branch_layer, _branch_inputs(model.variant, inputs))
-    trunk_feats = feature_matrix(model.trunk_layer, queries)
-    if model.variant == "nrbon":
-        branch_feats = _normalize_rows(branch_feats)
-        trunk_feats = _normalize_rows(trunk_feats)
+    branch_feats, trunk_feats = _features(
+        model.variant, model.branch_layer, model.trunk_layer, inputs, queries
+    )
     return model.calibration.apply(_raw_outputs(branch_feats, trunk_feats, model.weights))
 
 
@@ -378,6 +363,27 @@ def save_model(model: TrainedModel, destination) -> None:
 def load_model(source) -> TrainedModel:
     """Read a model written by save_model."""
     arrays, meta = load_container(source, expected_kind="model")
+    if meta["complex_branch"] != (meta["variant"] == "frbon"):
+        raise CorruptFileError(
+            f"{source}: complex_branch {meta['complex_branch']} does not fit "
+            f"variant {meta['variant']!r}"
+        )
+    branch_units, trunk_units = meta["branch_units"], meta["trunk_units"]
+    expected_shapes = {
+        "branch_centers_real": (branch_units, meta["sensor_count"]),
+        "branch_centers_imag": (branch_units, meta["sensor_count"]),
+        "branch_spreads": (branch_units,),
+        "trunk_centers": (trunk_units, meta["query_dim"]),
+        "trunk_spreads": (trunk_units,),
+        "weights": (branch_units * trunk_units,),
+    }
+    for name, shape in expected_shapes.items():
+        if name not in arrays:
+            raise CorruptFileError(f"{source}: missing member {name}")
+        if arrays[name].shape != shape:
+            raise CorruptFileError(
+                f"{source}: member {name} has shape {arrays[name].shape}, expected {shape}"
+            )
     centers = arrays["branch_centers_real"]
     if meta["complex_branch"]:
         # re-interleave the parts into the real view the layer was fitted in

@@ -99,6 +99,34 @@ def test_train_and_evaluate_flow(beam_run, tmp_path, capsys):
     assert "mean=" in capsys.readouterr().out
 
 
+def test_train_validation_sweep_matches_select_model(beam_run, tmp_path):
+    from rbon.cli import _load_split
+    from rbon.harness import select_model
+
+    out = tmp_path / "sweep"
+    code = main([
+        "train",
+        "--data", str(beam_run / "beam_train.npz"),
+        "--validation", str(beam_run / "beam_validation.npz"),
+        "--branch-overlap", "4.0",
+        "--trunk-overlap", "10.0",
+        "--out", str(out),
+    ])
+    assert code == 0
+    expected, score = select_model(
+        _load_split(beam_run / "beam_train.npz"),
+        _load_split(beam_run / "beam_validation.npz"),
+        "rbon", 0, (4.0, 10.0),
+    )
+    report = json.loads((out / "training_report.json").read_text())
+    model = load_model(out / "rbon_model.npz")
+    assert (report["branch_units"], report["trunk_units"]) == (
+        expected.branch_units, expected.trunk_units
+    )
+    np.testing.assert_array_equal(model.weights, expected.weights)
+    assert report["validation_mean_error"] == score
+
+
 def test_train_frequency_variant_records_complex_centers(beam_run, tmp_path):
     out = tmp_path / "freq"
     code = main([

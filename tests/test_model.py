@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rbon.container import CorruptFileError, FormatVersionError
+from rbon.container import CorruptFileError, FormatVersionError, load_container, save_container
 from rbon.kernels import DegenerateFeatureError, RbfLayer, feature_matrix, gaussian_rbf
 from rbon.least_squares import Calibration
 from rbon.model import (
@@ -373,8 +373,6 @@ def test_config_validation():
         ModelConfig(branch_units=0)
     with pytest.raises(ValueError):
         ModelConfig(branch_overlap=0.0)
-    with pytest.raises(ValueError):
-        ModelConfig(restarts=0)
 
 
 def test_benchmark_cap():
@@ -383,8 +381,8 @@ def test_benchmark_cap():
         ModelConfig(branch_units=MAX_BENCHMARK_UNITS + 1)
     with pytest.raises(ValueError):
         ModelConfig(trunk_units=MAX_BENCHMARK_UNITS + 1)
-    wide = ModelConfig(branch_units=20, trunk_units=20, benchmark_cap=False)
-    assert wide.branch_units == 20
+    with pytest.raises(ValueError):
+        ModelConfig(branch_units=20, trunk_units=20)
 
 
 def test_stable_hash_tracks_training_settings():
@@ -457,6 +455,66 @@ def test_complex_split_file_loads_to_interleaved_centers(tmp_path):
     resaved = tmp_path / "resaved.npz"
     save_model(model, resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def _hand_model_file(path, variant="rbon", sensor_count=2, **members):
+    """A model file with two branch units and one trunk unit, members overridden."""
+    arrays = {
+        "branch_centers_real": np.zeros((2, 2)),
+        "branch_centers_imag": np.zeros((2, 2)),
+        "branch_spreads": np.ones(2),
+        "trunk_centers": np.zeros((1, 1)),
+        "trunk_spreads": np.ones(1),
+        "weights": np.array([1.0, -1.0]),
+        **members,
+    }
+    meta = {
+        "kind": "model", "variant": variant, "sensor_count": sensor_count, "query_dim": 1,
+        "branch_units": 2, "trunk_units": 1, "scale": 1.0, "offset": 0.0, "seed": 0,
+        "config_hash": "hand", "training_residual": 0.0,
+        "complex_branch": variant == "frbon",
+    }
+    save_container(path, arrays, meta)
+    return path
+
+
+@pytest.mark.parametrize(
+    "variant, sensor_count, member, array",
+    [
+        # real and imaginary parts of different shapes
+        ("frbon", 2, "branch_centers_imag", np.zeros((2, 3))),
+        # branch width 4 is not 2 x sensor_count
+        ("frbon", 3, "branch_centers_real", np.zeros((2, 2))),
+        # branch width 4 is not sensor_count
+        ("rbon", 3, "branch_centers_real", np.zeros((2, 4))),
+        ("rbon", 2, "trunk_centers", np.zeros((1, 2))),
+        ("rbon", 2, "branch_spreads", np.ones(3)),
+        ("rbon", 2, "trunk_spreads", np.ones(2)),
+        ("rbon", 2, "weights", np.ones(3)),
+    ],
+)
+def test_load_model_rejects_inconsistent_shapes(tmp_path, variant, sensor_count, member, array):
+    path = _hand_model_file(tmp_path / "bad.npz", variant, sensor_count, **{member: array})
+    with pytest.raises(CorruptFileError, match=member):
+        load_model(path)
+
+
+def test_load_model_rejects_complex_flag_of_other_variant(tmp_path):
+    path = _hand_model_file(tmp_path / "bad.npz", variant="frbon")
+    arrays, meta = load_container(path)
+    save_container(path, arrays, {**meta, "complex_branch": False})
+    with pytest.raises(CorruptFileError, match="complex_branch"):
+        load_model(path)
+
+
+def test_load_model_rejects_missing_member(tmp_path):
+    path = _hand_model_file(tmp_path / "bad.npz")
+    assert load_model(path).weights.shape == (2,)  # the untouched file is consistent
+    arrays, meta = load_container(path)
+    del arrays["trunk_spreads"]
+    save_container(path, arrays, meta)
+    with pytest.raises(CorruptFileError, match="trunk_spreads"):
+        load_model(path)
 
 
 def test_load_model_rejects_damaged_files(tmp_path):
